@@ -6,14 +6,20 @@ runs one table harness at bench scale (sf=1.0 unless overridden via
 
 ``spark.driver.memory`` is read at JVM launch, not from SparkConf, so it is
 injected via ``PYSPARK_SUBMIT_ARGS`` *before* pyspark is imported — exactly
-as the test conftest does.
+as the test conftest does. For the same reason ``src`` goes on
+``PYTHONPATH`` here: Spark's Python workers are forked by the JVM and see
+its environment, not the driver's ``sys.path``.
 """
 from __future__ import annotations
 
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 os.environ.setdefault("SPARK_DRIVER_MEM", "8g")
 os.environ.setdefault(

@@ -21,9 +21,11 @@ Construction (Spark, distributed):
 
 Inference is shortest-*distance* path via Dijkstra (the algorithm the GTI
 paper uses) over a CSR adjacency in numpy, with early exit once the target
-is settled. Dijkstra's goal-agnostic frontier over the large point graph is
-what makes GTI queries slower than HABIT's A* over its small cell graph —
-the latency relationship the paper's Table 4 measures.
+is settled. The CSR index and the nearest-node snap are the ones HABIT's
+cell graph uses (:mod:`repro.graph`). Dijkstra's goal-agnostic frontier
+over the large point graph is what makes GTI queries slower than HABIT's
+breadth-first search over its small cell graph — the latency relationship
+the paper's Table 4 measures.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from repro.core.model import ImputedPath
 from repro.core.preprocess import haversine_m_col
 from repro.core.storage import parquet_bytes
 from repro.geo.geodesy import local_xy
+from repro.graph import csr, nearest
 
 
 class GTI:
@@ -133,32 +136,22 @@ class GTI:
 
     def _build_csr(self) -> None:
         """Index nodes; undirected CSR adjacency with metric edge weights."""
-        nodes = self.nodes_pdf
-        ids = nodes["node_id"].to_numpy()
-        idx = pd.Series(np.arange(ids.size), index=ids)
-        self._lon = nodes["lon"].to_numpy()
-        self._lat = nodes["lat"].to_numpy()
+        ids = self.nodes_pdf["node_id"].to_numpy()  # sorted in fit()
+        self._lon = self.nodes_pdf["lon"].to_numpy()
+        self._lat = self.nodes_pdf["lat"].to_numpy()
         self._x, self._y = local_xy(self._lon, self._lat, self._lon0, self._lat0)
-        if len(self.edges_pdf):
-            a = idx[self.edges_pdf["a"].to_numpy()].to_numpy()
-            b = idx[self.edges_pdf["b"].to_numpy()].to_numpy()
-        else:
-            a = b = np.array([], dtype=np.int64)
-        u = np.concatenate([a, b]).astype(np.int64)
-        v = np.concatenate([b, a]).astype(np.int64)
-        w = np.hypot(self._x[u] - self._x[v], self._y[u] - self._y[v])
-        order = np.argsort(u, kind="stable")
-        u, v, w = u[order], v[order], w[order]
-        indptr = np.zeros(ids.size + 1, dtype=np.int64)
-        np.add.at(indptr, u + 1, 1)
-        self._indptr = np.cumsum(indptr)
-        self._nbr = v
-        self._w = w
+        a = np.searchsorted(ids, self.edges_pdf["a"].to_numpy(np.int64))
+        b = np.searchsorted(ids, self.edges_pdf["b"].to_numpy(np.int64))
+        u = np.concatenate([a, b])
+        v = np.concatenate([b, a])
+        self._indptr, order = csr(u, v, ids.size)
+        self._nbr = v[order]
+        self._w = np.hypot(self._x[u] - self._x[v], self._y[u] - self._y[v])[order]
 
     # -- inference ----------------------------------------------------------
     def _snap(self, lon: float, lat: float) -> int:
         x, y = local_xy(lon, lat, self._lon0, self._lat0)
-        return int(np.argmin((self._x - x) ** 2 + (self._y - y) ** 2))
+        return nearest(self._x, self._y, x, y)
 
     def _dijkstra(self, s: int, t: int) -> list[int] | None:
         """Shortest metric path s -> t (Dijkstra, early exit at the target;

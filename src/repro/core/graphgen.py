@@ -18,16 +18,24 @@ Pipeline, exactly as §3.2 steps (1)–(4):
 Trips falling within at most two adjacent cells at resolution ``r`` carry no
 transition information and are excluded (§3.1, last paragraph).
 
+The paper loads the two tables into a NetworkX graph; here ``build_graph``
+turns the collected tables into a :class:`CellGraph` of sorted numpy arrays
+with a compressed sparse row (CSR) edge index, which the queries search.
+
 ``exact=True`` swaps ``approx_count_distinct`` (the paper's choice, HLL) for
 exact ``count_distinct`` so results are engine-comparable in oracle tests.
 """
 from __future__ import annotations
 
-import networkx as nx
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
+
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from repro.graph import csr
 from repro.hexgrid.hex import HexGrid
 from repro.hexgrid.udfs import grid_distance_udf, to_cell_udf
 
@@ -89,30 +97,89 @@ def aggregate(
     return cell_stats(df, exact=exact), edge_stats(df, exact=exact)
 
 
-def build_graph(nodes_pdf: pd.DataFrame, edges_pdf: pd.DataFrame) -> nx.DiGraph:
-    """Assemble the weighted directed cell graph (paper: NetworkX).
+def _locate(ids: np.ndarray, cells) -> np.ndarray:
+    cells = np.asarray(cells, dtype=np.int64)
+    if ids.size == 0:
+        return np.full(cells.shape, -1)
+    i = np.minimum(np.searchsorted(ids, cells), ids.size - 1)
+    return np.where(ids[i] == cells, i, -1)
 
-    Node attributes: median lon/lat (``mlon``/``mlat``), message count
-    (``cnt``), distinct vessels (``nves``). Edge attributes: ``transitions``
-    (the edge weight) and ``gdist`` (hex hop distance of the transition).
-    Edge endpoints not present in the node table (cells whose every message
-    was filtered) are added with no attributes by NetworkX; callers use the
-    node table as the authoritative attribute source.
+
+@dataclass(frozen=True, eq=False)
+class CellGraph:
+    """The weighted directed cell graph, as arrays.
+
+    Nodes are sorted by cell id: ``ids`` with median lon/lat (``mlon``/
+    ``mlat``), message count (``cnt``) and distinct vessels (``nves``).
+    Edges are sorted by ``(lag_cl, cl)`` and indexed as CSR: the out-edges
+    of node ``i`` go to the node positions ``dst[indptr[i]:indptr[i + 1]]``
+    and carry ``transitions`` (the edge weight) and ``gdist`` (hex hop
+    distance of the transition).
     """
-    g = nx.DiGraph()
-    for row in nodes_pdf.itertuples(index=False):
-        g.add_node(
-            int(row.cl),
-            mlon=float(row.mlon),
-            mlat=float(row.mlat),
-            cnt=int(row.cnt),
-            nves=int(row.nves),
-        )
-    for row in edges_pdf.itertuples(index=False):
-        g.add_edge(
-            int(row.lag_cl),
-            int(row.cl),
-            transitions=int(row.transitions),
-            gdist=int(row.gdist),
-        )
-    return g
+
+    ids: np.ndarray
+    cnt: np.ndarray
+    nves: np.ndarray
+    mlon: np.ndarray
+    mlat: np.ndarray
+    indptr: np.ndarray
+    dst: np.ndarray
+    transitions: np.ndarray
+    gdist: np.ndarray
+
+    def locate(self, cells) -> np.ndarray:
+        """Positions of ``cells`` in ``ids``; -1 where a cell is not a node."""
+        return _locate(self.ids, cells)
+
+    @property
+    def nodes(self) -> Mapping[int, dict]:
+        """Read-only view: cell id -> its node attributes."""
+        return _Nodes(self)
+
+
+class _Nodes(Mapping):
+    def __init__(self, g: CellGraph):
+        self._g = g
+
+    def __getitem__(self, cell: int) -> dict:
+        i = int(self._g.locate(cell))
+        if i < 0:
+            raise KeyError(cell)
+        g = self._g
+        return {"cnt": int(g.cnt[i]), "nves": int(g.nves[i]),
+                "mlon": float(g.mlon[i]), "mlat": float(g.mlat[i])}
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._g.ids.tolist())
+
+    def __len__(self) -> int:
+        return int(self._g.ids.size)
+
+
+def build_graph(nodes_pdf: pd.DataFrame, edges_pdf: pd.DataFrame) -> CellGraph:
+    """Assemble the cell graph from the node and edge tables.
+
+    Raises ``ValueError`` when a cell id repeats in the node table or an
+    edge endpoint has no node row: the tables of a fit never do that, so
+    such tables are foreign or damaged.
+    """
+    nodes = nodes_pdf.sort_values("cl")
+    ids = nodes["cl"].to_numpy(np.int64)
+    if (np.diff(ids) == 0).any():
+        raise ValueError("node table repeats a cell id")
+    src = _locate(ids, edges_pdf["lag_cl"].to_numpy(np.int64))
+    dst = _locate(ids, edges_pdf["cl"].to_numpy(np.int64))
+    if (src < 0).any() or (dst < 0).any():
+        raise ValueError("edge table has an endpoint missing from the node table")
+    indptr, order = csr(src, dst, ids.size)
+    return CellGraph(
+        ids=ids,
+        cnt=nodes["cnt"].to_numpy(np.int64),
+        nves=nodes["nves"].to_numpy(np.int64),
+        mlon=nodes["mlon"].to_numpy(np.float64),
+        mlat=nodes["mlat"].to_numpy(np.float64),
+        indptr=indptr,
+        dst=dst[order],
+        transitions=edges_pdf["transitions"].to_numpy(np.int64)[order],
+        gdist=edges_pdf["gdist"].to_numpy(np.int64)[order],
+    )

@@ -1,10 +1,11 @@
 """HABIT facade: fit on preprocessed trips, answer imputation queries.
 
 ``Habit.fit`` runs the distributed §3.2 aggregation and assembles the model;
-``impute`` answers one gap query (A* + inverse projection + RDP, with
-timestamps interpolated along the imputed path); ``impute_batch_spark``
-distributes a whole gap table over the cluster with the model broadcast to
-executors — the batch-inference path for the Spark deployment.
+``impute`` answers one gap query (BFS + inverse projection + RDP);
+``impute_with_ts`` adds timestamps interpolated along the imputed path;
+``impute_batch_spark`` runs ``impute_with_ts`` over a whole gap table on the
+cluster, with the fitted framework broadcast to executors — the
+batch-inference path for the Spark deployment.
 """
 from __future__ import annotations
 
@@ -77,47 +78,28 @@ class Habit:
         return pd.DataFrame({"lon": lon, "lat": lat, "ts": ts, "fallback": res.fallback})
 
     def impute_batch_spark(self, spark: SparkSession, gaps_df: DataFrame) -> DataFrame:
-        """Distribute imputation over a gap table (schema of
-        ``repro.ais.gaps.gaps_to_pandas``); the fitted model is broadcast.
+        """Distribute :meth:`impute_with_ts` over a gap table (schema of
+        ``repro.ais.gaps.gaps_to_pandas``); the fitted framework is broadcast.
 
         Returns one row per imputed point: gap_id, seq, lon, lat, ts.
         """
         assert self.model is not None, "call fit() first"
-        bc = spark.sparkContext.broadcast(
-            {"model": self.model, "p": self.p, "t": self.t}
-        )
+        bc = spark.sparkContext.broadcast(self)
 
         def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            cfg = bc.value
-            model: HabitModel = cfg["model"]
+            habit: Habit = bc.value
             for pdf in batches:
                 out = []
                 for row in pdf.itertuples(index=False):
-                    path = model.impute(
-                        row.start_lon, row.start_lat, row.end_lon, row.end_lat, p=cfg["p"]
+                    pts = habit.impute_with_ts(
+                        row.start_lon, row.start_lat, row.start_ts,
+                        row.end_lon, row.end_lat, row.end_ts,
                     )
-                    lon, lat = simplify_path(path.lon, path.lat, cfg["t"])
-                    seg = haversine_m(lon[:-1], lat[:-1], lon[1:], lat[1:])
-                    cum = np.concatenate([[0.0], np.cumsum(seg)])
-                    frac = cum / cum[-1] if cum[-1] > 0 else np.linspace(0, 1, lon.size)
-                    span = (row.end_ts - row.start_ts).total_seconds()
-                    ts = row.start_ts + pd.to_timedelta(np.round(frac * span, 3), unit="s")
-                    out.append(
-                        pd.DataFrame(
-                            {
-                                "gap_id": row.gap_id,
-                                "seq": np.arange(lon.size, dtype=np.int64),
-                                "lon": lon,
-                                "lat": lat,
-                                "ts": ts,
-                            }
-                        )
-                    )
-                yield pd.concat(out, ignore_index=True) if out else pd.DataFrame(
-                    {"gap_id": pd.Series(dtype="str"), "seq": pd.Series(dtype="int64"),
-                     "lon": pd.Series(dtype="float64"), "lat": pd.Series(dtype="float64"),
-                     "ts": pd.Series(dtype="datetime64[ns]")}
-                )
+                    pts.insert(0, "gap_id", row.gap_id)
+                    pts.insert(1, "seq", np.arange(len(pts), dtype=np.int64))
+                    out.append(pts.drop(columns="fallback"))
+                if out:
+                    yield pd.concat(out, ignore_index=True)
 
         schema = "gap_id string, seq long, lon double, lat double, ts timestamp"
         return gaps_df.mapInPandas(run, schema=schema)

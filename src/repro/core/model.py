@@ -6,9 +6,10 @@ answers imputation queries:
 1. project gap endpoints to hex cells; if a cell is not a graph node,
    nearest-neighbor snap to the closest node (by projected distance to the
    nodes' median positions);
-2. A* over the transition graph, minimizing the number of transitions, with
-   the hex grid distance as heuristic (scaled by the maximum edge span so it
-   stays admissible even for transitions that skip cells);
+2. breadth-first search (BFS) over the transition graph: with unit cost per
+   transition it finds a path with the fewest transitions. Neighbours are
+   visited in ascending cell id, so ties between equally short paths break
+   the same way on every run;
 3. inverse projection of the cell path to coordinates — parameter
    ``p='c'`` uses geometric cell centers, ``p='w'`` the data-driven per-cell
    median position (the paper's information-loss mitigation, Figure 2);
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
+from repro.core.graphgen import CellGraph
 from repro.geo.geodesy import haversine_m
-from repro.hexgrid.hex import HexGrid, grid_distance
+from repro.graph import nearest
+from repro.hexgrid.hex import HexGrid
 
 
 @dataclass
@@ -40,49 +42,53 @@ class HabitModel:
     """Fitted HABIT framework: hex grid + weighted cell-transition graph."""
 
     grid: HexGrid
-    graph: nx.DiGraph
-    _node_ids: np.ndarray = field(init=False, repr=False)
+    graph: CellGraph
     _node_x: np.ndarray = field(init=False, repr=False)
     _node_y: np.ndarray = field(init=False, repr=False)
-    _max_span: int = field(init=False, repr=False)
+    _indptr: list[int] = field(init=False, repr=False)
+    _dst: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        nodes = [n for n, d in self.graph.nodes(data=True) if "mlon" in d]
-        self._node_ids = np.asarray(nodes, dtype=np.int64)
-        mlon = np.asarray([self.graph.nodes[n]["mlon"] for n in nodes])
-        mlat = np.asarray([self.graph.nodes[n]["mlat"] for n in nodes])
-        self._node_x, self._node_y = self.grid.project(mlon, mlat)
-        spans = [d.get("gdist", 1) for _, _, d in self.graph.edges(data=True)]
-        self._max_span = max(1, max(spans, default=1))
+        self._node_x, self._node_y = self.grid.project(self.graph.mlon, self.graph.mlat)
+        # The search steps one node at a time; Python lists index faster than
+        # numpy arrays there.
+        self._indptr = self.graph.indptr.tolist()
+        self._dst = self.graph.dst.tolist()
 
     # -- queries ------------------------------------------------------------
     def snap(self, lon: float, lat: float) -> int:
         """Graph node for a point: its own cell, else the nearest node."""
         cell = int(self.grid.to_cell(lon, lat))
-        if self.graph.has_node(cell) and "mlon" in self.graph.nodes[cell]:
+        if cell in self.graph.nodes:
             return cell
-        if self._node_ids.size == 0:
+        if self.n_nodes == 0:
             raise ValueError("empty model: no graph nodes")
         x, y = self.grid.project(lon, lat)
-        i = int(np.argmin((self._node_x - x) ** 2 + (self._node_y - y) ** 2))
-        return int(self._node_ids[i])
+        return int(self.graph.ids[nearest(self._node_x, self._node_y, x, y)])
 
     def cell_path(self, s_node: int, e_node: int) -> list[int] | None:
         """Minimum-transition cell sequence from ``s_node`` to ``e_node``.
 
-        A* with unit edge cost; heuristic = hex distance / max edge span
-        (admissible: every transition covers at most ``max_span`` hops).
-        Returns None when no directed path exists.
+        BFS over the CSR adjacency, neighbours in ascending cell id. Returns
+        None when no directed path exists or an endpoint is not a node.
         """
-        span = float(self._max_span)
-
-        def h(u: int, v: int) -> float:
-            return float(grid_distance(u, v)) / span
-
-        try:
-            return nx.astar_path(self.graph, s_node, e_node, heuristic=h, weight=lambda a, b, d: 1.0)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        s, e = self.graph.locate([s_node, e_node]).tolist()
+        if s < 0 or e < 0:
             return None
+        indptr, dst = self._indptr, self._dst
+        prev = {s: s}
+        queue = [s]
+        for u in queue:  # the loop reaches the nodes appended below: FIFO
+            if u == e:
+                path = [e]
+                while path[-1] != s:
+                    path.append(prev[path[-1]])
+                return self.graph.ids[path[::-1]].tolist()
+            for v in dst[indptr[u]:indptr[u + 1]]:
+                if v not in prev:
+                    prev[v] = u
+                    queue.append(v)
+        return None
 
     def project_cells(self, cells: list[int], p: str = "w") -> tuple[np.ndarray, np.ndarray]:
         """Inverse projection of a cell sequence to lon/lat (§3.3, Fig. 2)."""
@@ -90,10 +96,10 @@ class HabitModel:
             return self.grid.cell_center(np.asarray(cells, dtype=np.int64))
         if p != "w":
             raise ValueError(f"unknown projection option {p!r} (use 'c' or 'w')")
-        nd = self.graph.nodes
-        lon = np.asarray([nd[c]["mlon"] for c in cells])
-        lat = np.asarray([nd[c]["mlat"] for c in cells])
-        return lon, lat
+        i = self.graph.locate(cells)
+        if (i < 0).any():
+            raise KeyError(f"cells not in the graph: {np.asarray(cells)[i < 0].tolist()}")
+        return self.graph.mlon[i], self.graph.mlat[i]
 
     def impute(
         self,
@@ -134,8 +140,8 @@ class HabitModel:
     # -- introspection ------------------------------------------------------
     @property
     def n_nodes(self) -> int:
-        return int(self._node_ids.size)
+        return int(self.graph.ids.size)
 
     @property
     def n_edges(self) -> int:
-        return self.graph.number_of_edges()
+        return int(self.graph.dst.size)

@@ -11,7 +11,7 @@ import io
 import json
 from pathlib import Path
 
-import networkx as nx
+import numpy as np
 import pandas as pd
 
 from repro.core.graphgen import build_graph
@@ -20,19 +20,19 @@ from repro.hexgrid.hex import HexGrid
 
 
 def graph_tables(model: HabitModel) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Node/edge tables of a fitted model (inverse of ``build_graph``)."""
+    """Node/edge tables of a fitted model (inverse of ``build_graph``),
+    sorted by ``cl`` and by ``(lag_cl, cl)``."""
+    g = model.graph
     nodes = pd.DataFrame(
-        [
-            {"cl": n, "cnt": d["cnt"], "nves": d["nves"], "mlon": d["mlon"], "mlat": d["mlat"]}
-            for n, d in model.graph.nodes(data=True)
-            if "mlon" in d
-        ]
+        {"cl": g.ids, "cnt": g.cnt, "nves": g.nves, "mlon": g.mlon, "mlat": g.mlat}
     )
     edges = pd.DataFrame(
-        [
-            {"lag_cl": u, "cl": v, "transitions": d["transitions"], "gdist": d["gdist"]}
-            for u, v, d in model.graph.edges(data=True)
-        ]
+        {
+            "lag_cl": np.repeat(g.ids, np.diff(g.indptr)),
+            "cl": g.ids[g.dst],
+            "transitions": g.transitions,
+            "gdist": g.gdist,
+        }
     )
     return nodes, edges
 
@@ -69,5 +69,4 @@ def load(path: str | Path) -> HabitModel:
     nodes = pd.read_parquet(path / "nodes.parquet")
     edges = pd.read_parquet(path / "edges.parquet")
     meta = json.loads((path / "grid.json").read_text())
-    graph = build_graph(nodes, edges) if len(nodes) else nx.DiGraph()
-    return HabitModel(grid=HexGrid(**meta), graph=graph)
+    return HabitModel(grid=HexGrid(**meta), graph=build_graph(nodes, edges))

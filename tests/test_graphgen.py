@@ -19,6 +19,7 @@ from repro.core.graphgen import (
     edge_stats,
     with_cells,
 )
+from repro.core.model import HabitModel
 from repro.hexgrid.hex import HexGrid, grid_distance
 from repro.oracle import assert_equivalent
 
@@ -131,17 +132,43 @@ def test_approx_distinct_close_to_exact(spark, kiel_cells):
 # --- graph construction -----------------------------------------------------
 
 def test_build_graph_roundtrip(spark, kiel_cells):
-    _, df, _ = kiel_cells
+    grid, df, _ = kiel_cells
     nodes_df, edges_df = cell_stats(df, exact=True), edge_stats(df, exact=True)
     nodes, edges = nodes_df.toPandas(), edges_df.toPandas()
     g = build_graph(nodes, edges)
-    assert g.number_of_edges() == len(edges)
+    assert HabitModel(grid=grid, graph=g).n_edges == len(edges)
     # every node attribute round-trips (read from typed columns: a row
     # Series would coerce int64 cell ids to float64 and lose precision)
     cl0 = int(nodes["cl"].iloc[0])
     d = g.nodes[cl0]
     assert d["cnt"] == int(nodes["cnt"].iloc[0])
     assert d["mlon"] == pytest.approx(float(nodes["mlon"].iloc[0]))
+
+
+def _tables():
+    nodes = pd.DataFrame(
+        {"cl": [1, 2, 3], "cnt": 5, "nves": 1, "mlon": [10.0, 10.1, 10.2], "mlat": 55.0}
+    )
+    edges = pd.DataFrame({"lag_cl": [1, 2], "cl": [2, 3], "transitions": 1, "gdist": 1})
+    return nodes, edges
+
+
+def test_build_graph_rejects_dangling_edge():
+    """An edge endpoint without a node row (a foreign or edited table) is
+    refused instead of becoming an attribute-less node."""
+    nodes, edges = _tables()
+    build_graph(nodes, edges)
+    for col in ("lag_cl", "cl"):
+        bad = edges.copy()
+        bad.loc[1, col] = 99
+        with pytest.raises(ValueError, match="missing from the node table"):
+            build_graph(nodes, bad)
+
+
+def test_build_graph_rejects_duplicate_node():
+    nodes, edges = _tables()
+    with pytest.raises(ValueError, match="repeats a cell id"):
+        build_graph(pd.concat([nodes, nodes.iloc[[1]]]), edges)
 
 
 def test_graph_edges_exclude_self_loops(spark, kiel_cells):

@@ -1,5 +1,10 @@
 """End-to-end tests of the HABIT facade on the synthetic KIEL corridor:
 fit in Spark, impute gaps, batch inference equivalence, persistence."""
+import os
+import subprocess
+import sys
+
+import networkx as nx
 import numpy as np
 import pandas as pd
 import pytest
@@ -85,11 +90,45 @@ def test_storage_save_load_roundtrip(tmp_path, habit9, kiel_gaps):
     loaded = storage.load(tmp_path / "m")
     assert loaded.grid == habit9.model.grid
     assert loaded.n_nodes == habit9.model.n_nodes
-    assert loaded.graph.number_of_edges() == habit9.model.graph.number_of_edges()
+    assert loaded.n_edges == habit9.model.n_edges
     g = kiel_gaps[0]
     a = habit9.model.impute(g.start_lon, g.start_lat, g.end_lon, g.end_lat)
     b = loaded.impute(g.start_lon, g.start_lat, g.end_lon, g.end_lat)
     assert (a.lon == b.lon).all()
+
+
+@pytest.mark.parametrize("name,res", [("KIEL", 9), ("SAR", 10)])
+def test_cell_path_length_matches_networkx(lab, name, res):
+    """NetworkX is the oracle: on every evaluation gap the BFS path has
+    the fewest transitions, and no path exactly when NetworkX finds none."""
+    model = lab.habit(name, res).model
+    nodes, edges = storage.graph_tables(model)
+    g = nx.DiGraph()
+    g.add_nodes_from(nodes["cl"].tolist())
+    g.add_edges_from(zip(edges["lag_cl"].tolist(), edges["cl"].tolist()))
+    for gap in lab.gaps(name):
+        s = model.snap(gap.start_lon, gap.start_lat)
+        e = model.snap(gap.end_lon, gap.end_lat)
+        path = model.cell_path(s, e)
+        try:
+            ref = nx.shortest_path_length(g, s, e)
+        except nx.NetworkXNoPath:
+            assert path is None
+            continue
+        assert path is not None and len(path) - 1 == ref
+        assert path[0] == s and path[-1] == e
+        assert all(g.has_edge(a, b) for a, b in zip(path[:-1], path[1:]))
+
+
+def test_runtime_does_not_import_networkx():
+    """NetworkX is a test-only oracle: the runtime modules never load it."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = (
+        "import sys, repro.core.habit, repro.core.storage, repro.baselines.gti; "
+        "assert 'networkx' not in sys.modules"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_storage_bytes_positive_and_matches_tables(habit9):

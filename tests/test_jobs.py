@@ -1,7 +1,9 @@
 """The job entrypoints must be importable and wired to the right harnesses
 (they are executed at bench scale outside the test suite)."""
 import importlib
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -39,3 +41,15 @@ def test_common_bench_sf(monkeypatch):
     assert common.bench_sf() == 0.5
     monkeypatch.delenv("REPRO_SF")
     assert common.bench_sf() == 1.0
+
+
+def test_common_puts_src_on_worker_path():
+    """Spark's Python workers see the JVM's environment, not the driver's
+    sys.path: importing _common must put src first on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, _common; print(os.environ['PYTHONPATH'])"],
+        cwd=JOBS, env=env, capture_output=True, text=True, check=True,
+    )
+    first = out.stdout.strip().split(os.pathsep)[0]
+    assert pathlib.Path(first) == (JOBS.parent / "src").resolve()

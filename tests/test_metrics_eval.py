@@ -5,8 +5,7 @@ import pytest
 
 from repro.ais.gaps import Gap
 from repro.baselines.sli import sli_impute
-from repro.eval.latency import time_queries
-from repro.eval.metrics import DTW_SPACING_M, densified_truth, evaluate_gaps, summarize
+from repro.eval.metrics import evaluate_gaps, summarize
 
 
 def _gap(curved: bool) -> Gap:
@@ -79,17 +78,3 @@ def test_summarize_fields():
     )
     assert 0.0 <= s["fallback_frac"] <= 1.0
     assert s["lat_max_s"] >= s["lat_avg_s"]
-
-
-def test_densified_truth_spacing():
-    lon, lat = densified_truth(_gap(True))
-    from repro.geo.geodesy import haversine_m
-
-    seg = haversine_m(lon[:-1], lat[:-1], lon[1:], lat[1:])
-    assert float(seg.max()) <= DTW_SPACING_M * 1.001
-
-
-def test_time_queries():
-    out = time_queries(lambda a, b, c, d: sli_impute(a, b, c, d), [_gap(False)] * 5)
-    assert out["n"] == 5
-    assert out["max_s"] >= out["avg_s"] >= 0.0

@@ -1,25 +1,49 @@
-"""Unit tests for HabitModel (A* imputation, snapping, inverse projection)
+"""Unit tests for HabitModel (BFS imputation, snapping, inverse projection)
 on small hand-built graphs."""
 import networkx as nx
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.core import storage
+from repro.core.graphgen import build_graph
 from repro.core.model import HabitModel
 from repro.hexgrid.hex import HexGrid, grid_distance
 
 GRID = HexGrid(8, 56.0, 11.5)
 
 
-def _chain_graph(lons, lats, weights=None):
-    """Directed chain of cells following given coordinates."""
+def _nodes(cells, lons, lats, cnt=10, nves=2):
+    return pd.DataFrame(
+        {"cl": cells, "cnt": cnt, "nves": nves, "mlon": lons, "mlat": lats}
+    ).astype({"cl": "int64", "cnt": "int64", "nves": "int64", "mlon": "float64", "mlat": "float64"})
+
+
+def _edges(pairs):
+    return pd.DataFrame(
+        {
+            "lag_cl": [a for a, _ in pairs],
+            "cl": [b for _, b in pairs],
+            "transitions": 1,
+            "gdist": [int(grid_distance(a, b)) for a, b in pairs],
+        }
+    ).astype("int64")
+
+
+def _chain_tables(lons, lats):
+    """Node and edge tables of a directed chain of cells following the
+    given coordinates."""
     cells = [int(GRID.to_cell(lo, la)) for lo, la in zip(lons, lats)]
+    return cells, _nodes(cells, lons, lats), _edges(list(zip(cells[:-1], cells[1:])))
+
+
+def _oracle(model):
+    """NetworkX DiGraph of a model, built from its persisted tables."""
+    nodes, edges = storage.graph_tables(model)
     g = nx.DiGraph()
-    for c, lo, la in zip(cells, lons, lats):
-        g.add_node(c, mlon=float(lo), mlat=float(la), cnt=10, nves=2)
-    for i, (a, b) in enumerate(zip(cells[:-1], cells[1:])):
-        w = 1 if weights is None else weights[i]
-        g.add_edge(a, b, transitions=w, gdist=int(grid_distance(a, b)))
-    return cells, g
+    g.add_nodes_from(nodes["cl"].tolist())
+    g.add_edges_from(zip(edges["lag_cl"].tolist(), edges["cl"].tolist()))
+    return g
 
 
 LONS = np.round(np.linspace(10.0, 10.5, 12), 4)
@@ -28,8 +52,8 @@ LATS = np.round(55.0 + 0.05 * np.sin(np.linspace(0, 3, 12)), 4)
 
 @pytest.fixture()
 def chain_model():
-    cells, g = _chain_graph(LONS, LATS)
-    return cells, HabitModel(grid=GRID, graph=g)
+    cells, nodes, edges = _chain_tables(LONS, LATS)
+    return cells, HabitModel(grid=GRID, graph=build_graph(nodes, edges))
 
 
 # --- snapping ---------------------------------------------------------------
@@ -53,7 +77,8 @@ def test_snap_outside_returns_nearest(chain_model):
 
 
 def test_snap_empty_model_raises():
-    model = HabitModel(grid=GRID, graph=nx.DiGraph())
+    empty = build_graph(_nodes([], [], []), _edges([]))
+    model = HabitModel(grid=GRID, graph=empty)
     with pytest.raises(ValueError):
         model.snap(10.0, 55.0)
 
@@ -79,27 +104,43 @@ def test_cell_path_respects_direction(chain_model):
 
 def test_cell_path_matches_networkx_shortest(chain_model):
     cells, model = chain_model
-    expect = nx.shortest_path(model.graph, cells[0], cells[-1])
+    expect = nx.shortest_path(_oracle(model), cells[0], cells[-1])
     assert model.cell_path(cells[0], cells[-1]) == expect
 
 
 def test_cell_path_minimizes_transitions():
-    """A* must take the fewer-hop branch, matching the paper's objective."""
+    """The search must take the fewer-hop branch, matching the paper's
+    objective."""
     lons_a = [10.0, 10.1, 10.2, 10.3]
     lats_a = [55.0, 55.0, 55.0, 55.0]
-    cells_a, g = _chain_graph(lons_a, lats_a)
+    cells_a, nodes, edges = _chain_tables(lons_a, lats_a)
     # add a longer detour between the same endpoints
     detour_lons = [10.0, 10.05, 10.1, 10.15, 10.2, 10.25, 10.3]
     detour_lats = [55.0, 55.08, 55.1, 55.12, 55.1, 55.08, 55.0]
-    for lo, la in zip(detour_lons[1:-1], detour_lats[1:-1]):
-        g.add_node(int(GRID.to_cell(lo, la)), mlon=lo, mlat=la, cnt=1, nves=1)
     dcells = [int(GRID.to_cell(lo, la)) for lo, la in zip(detour_lons, detour_lats)]
-    for a, b in zip(dcells[:-1], dcells[1:]):
-        if a != b:
-            g.add_edge(a, b, transitions=1, gdist=int(grid_distance(a, b)))
-    model = HabitModel(grid=GRID, graph=g)
+    nodes = pd.concat(
+        [nodes, _nodes(dcells[1:-1], detour_lons[1:-1], detour_lats[1:-1], cnt=1, nves=1)]
+    )
+    pairs = [(a, b) for a, b in zip(dcells[:-1], dcells[1:]) if a != b]
+    model = HabitModel(grid=GRID, graph=build_graph(nodes, pd.concat([edges, _edges(pairs)])))
     path = model.cell_path(cells_a[0], cells_a[-1])
     assert path == cells_a  # 3 hops beats the ~6-hop detour
+
+
+def test_cell_path_tie_breaks_on_ascending_id(tmp_path):
+    """Of two equally short paths the search takes the one through the
+    lower cell id, whatever the table order, also after save -> load."""
+    lons = [10.0, 10.1, 10.1, 10.2]
+    lats = [55.0, 55.05, 54.95, 55.0]
+    s, n, so, t = (int(GRID.to_cell(lo, la)) for lo, la in zip(lons, lats))
+    lo_mid, hi_mid = sorted((n, so))
+    nodes = _nodes([t, so, n, s], lons[::-1], lats[::-1])
+    for pairs in ([(s, hi_mid), (hi_mid, t), (s, lo_mid), (lo_mid, t)],
+                  [(lo_mid, t), (s, lo_mid), (hi_mid, t), (s, hi_mid)]):
+        model = HabitModel(grid=GRID, graph=build_graph(nodes, _edges(pairs)))
+        assert model.cell_path(s, t) == [s, lo_mid, t]
+        storage.save(model, tmp_path / "m")
+        assert storage.load(tmp_path / "m").cell_path(s, t) == [s, lo_mid, t]
 
 
 # --- inverse projection -----------------------------------------------------
