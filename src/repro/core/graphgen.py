@@ -18,6 +18,12 @@ Pipeline, exactly as §3.2 steps (1)–(4):
 Trips falling within at most two adjacent cells at resolution ``r`` carry no
 transition information and are excluded (§3.1, last paragraph).
 
+Cells are native Column expressions (:mod:`repro.hexgrid.columns`), so no
+row leaves the JVM. Each of the two result frames shuffles twice: once by
+``trip_id``, which the ``lag`` window and the small-trip filter (a
+``collect_set`` over the same trip window) share, and once by its grouping
+key, ``cl`` or ``(lag_cl, cl)``. The tests guard this count.
+
 The paper loads the two tables into a NetworkX graph; here ``build_graph``
 turns the collected tables into a :class:`CellGraph` of sorted numpy arrays
 with a compressed sparse row (CSR) edge index, which the queries search.
@@ -36,25 +42,27 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.graph import csr
+from repro.hexgrid.columns import grid_distance_col, to_cell_col
 from repro.hexgrid.hex import HexGrid
-from repro.hexgrid.udfs import grid_distance_udf, to_cell_udf
 
 
 def with_cells(df: DataFrame, grid: HexGrid) -> DataFrame:
     """Assign ``cl`` and per-trip predecessor ``lag_cl`` to each message."""
-    cell = to_cell_udf(grid.res, grid.lat0, grid.lon0)
-    df = df.withColumn("cl", cell(F.col("lon"), F.col("lat")))
+    # ``to_spark`` frames are a LocalTableScan, and Catalyst folds a
+    # projection sitting directly on one (ConvertToLocalRelation) into
+    # interpreted, single-threaded evaluation on the driver. Hashing by
+    # trip first moves the cell expression into generated code on the
+    # executors; the trip windows reuse this partitioning, so it is the
+    # shuffle the lag window needs anyway, not an extra one.
+    df = df.repartition("trip_id").withColumn("cl", to_cell_col(grid, F.col("lon"), F.col("lat")))
     w = Window.partitionBy("trip_id").orderBy("ts")
     return df.withColumn("lag_cl", F.lag("cl").over(w))
 
 
 def drop_small_trips(df: DataFrame, *, min_cells: int = 3) -> DataFrame:
     """Drop trips spanning fewer than ``min_cells`` distinct cells."""
-    span = df.groupBy("trip_id").agg(F.count_distinct("cl").alias("_ncells"))
-    return (
-        df.join(span.filter(F.col("_ncells") >= min_cells), "trip_id", "inner")
-        .drop("_ncells")
-    )
+    ncells = F.size(F.collect_set("cl").over(Window.partitionBy("trip_id")))
+    return df.withColumn("_ncells", ncells).filter(F.col("_ncells") >= min_cells).drop("_ncells")
 
 
 def cell_stats(df: DataFrame, *, exact: bool = False) -> DataFrame:
@@ -82,7 +90,7 @@ def edge_stats(df: DataFrame, *, exact: bool = False) -> DataFrame:
         .groupBy("lag_cl", "cl")
         .agg(ntrips.alias("transitions"))
     )
-    return edges.withColumn("gdist", grid_distance_udf()(F.col("lag_cl"), F.col("cl")))
+    return edges.withColumn("gdist", grid_distance_col(F.col("lag_cl"), F.col("cl")))
 
 
 def aggregate(

@@ -39,10 +39,11 @@ EDGE_M: dict[int, float] = {
 #: Mean Earth radius (meters), as used by H3 / haversine throughout the repo.
 R_EARTH = 6371008.8
 
+_RES_SHIFT, _Q_SHIFT = 58, 29  # cell id bit offsets of res and q
 _B = 1 << 28  # axial coordinate bias for packing
-_QR_MASK = (1 << 29) - 1
+_QR_MASK = (1 << _Q_SHIFT) - 1
 
-_SQRT3 = np.sqrt(3.0)
+_SQRT3 = float(np.sqrt(3.0))
 
 
 def pack(res: int, q, r):
@@ -51,21 +52,21 @@ def pack(res: int, q, r):
     r = np.asarray(r, dtype=np.int64)
     if np.any((np.abs(q) >= _B) | (np.abs(r) >= _B)):
         raise ValueError("axial coordinate out of packable range")
-    return (np.int64(res) << 58) | ((q + _B) << 29) | (r + _B)
+    return (np.int64(res) << _RES_SHIFT) | ((q + _B) << _Q_SHIFT) | (r + _B)
 
 
 def unpack(cell):
     """Unpack int64 cell id(s) into (res, q, r) arrays."""
     cell = np.asarray(cell, dtype=np.int64)
-    res = (cell >> 58).astype(np.int64)
-    q = ((cell >> 29) & _QR_MASK) - _B
+    res = (cell >> _RES_SHIFT).astype(np.int64)
+    q = ((cell >> _Q_SHIFT) & _QR_MASK) - _B
     r = (cell & _QR_MASK) - _B
     return res, q, r
 
 
 def cell_res(cell) -> np.ndarray:
     """Resolution encoded in cell id(s)."""
-    return np.asarray(cell, dtype=np.int64) >> 58
+    return np.asarray(cell, dtype=np.int64) >> _RES_SHIFT
 
 
 def grid_distance(a, b):
@@ -75,6 +76,14 @@ def grid_distance(a, b):
     dq = qa - qb
     dr = sa - sb
     return ((np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2).astype(np.int64)
+
+
+def axial_frac(x, y, a: float):
+    """Fractional axial coords of projected point(s) on hexagons of edge
+    ``a``; the arithmetic works on numpy arrays and Spark Columns alike."""
+    qf = (_SQRT3 / 3.0 * x - y / 3.0) / a
+    rf = (2.0 / 3.0 * y) / a
+    return qf, rf
 
 
 def _axial_round(qf: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,9 +126,8 @@ class HexGrid:
 
     # -- projection ---------------------------------------------------------
     def project(self, lon, lat) -> tuple[np.ndarray, np.ndarray]:
-        """(lon, lat) degrees -> local (x, y) meters."""
-        lon = np.asarray(lon, dtype=np.float64)
-        lat = np.asarray(lat, dtype=np.float64)
+        """(lon, lat) degrees -> local (x, y) meters; the arithmetic works on
+        numpy arrays, scalars and Spark Columns alike."""
         k = np.cos(np.radians(self.lat0)) * R_EARTH * np.pi / 180.0
         x = (lon - self.lon0) * k
         y = (lat - self.lat0) * (R_EARTH * np.pi / 180.0)
@@ -136,12 +144,14 @@ class HexGrid:
 
     # -- cell ops -----------------------------------------------------------
     def to_cell(self, lon, lat) -> np.ndarray:
-        """Assign point(s) to their containing hexagon; returns int64 ids."""
-        x, y = self.project(lon, lat)
-        a = self.edge_m
-        qf = (_SQRT3 / 3.0 * x - y / 3.0) / a
-        rf = (2.0 / 3.0 * y) / a
-        q, r = _axial_round(qf, rf)
+        """Assign point(s) to their containing hexagon; returns int64 ids.
+
+        Raises ``ValueError`` on a non-finite coordinate, which has no cell.
+        """
+        x, y = self.project(np.asarray(lon, dtype=np.float64), np.asarray(lat, dtype=np.float64))
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("non-finite coordinate has no cell")
+        q, r = _axial_round(*axial_frac(x, y, self.edge_m))
         return pack(self.res, q, r)
 
     def cell_center(self, cell) -> tuple[np.ndarray, np.ndarray]:

@@ -5,9 +5,16 @@ oracle encodes the paper's CTE in DuckDB over the same input (with exact
 distinct counts on both sides, since HLL sketches differ between engines)
 and every aggregate must match row for row.
 """
+import contextlib
+import io
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from pyspark.errors import SparkRuntimeException
 from pyspark.sql import functions as F
 
 from repro.ais.datasets import REGION_OF, to_spark
@@ -20,7 +27,8 @@ from repro.core.graphgen import (
     with_cells,
 )
 from repro.core.model import HabitModel
-from repro.hexgrid.hex import HexGrid, grid_distance
+from repro.hexgrid.columns import grid_distance_col, to_cell_col
+from repro.hexgrid.hex import EDGE_M, HexGrid, axial_frac, grid_distance, unpack
 from repro.oracle import assert_equivalent
 
 
@@ -35,26 +43,98 @@ def kiel_cells(spark, kiel_trips):
 
 # --- cell assignment --------------------------------------------------------
 
-def test_spark_cell_assignment_matches_driver(spark, kiel_trips):
-    """The pandas UDF must agree with driver-side HexGrid.to_cell."""
-    grid = HexGrid(9, REGION_OF["KIEL"].lat0, REGION_OF["KIEL"].lon0)
+def _kiel_grid(res: int) -> HexGrid:
+    return HexGrid(res, REGION_OF["KIEL"].lat0, REGION_OF["KIEL"].lon0)
+
+
+@pytest.fixture(scope="module")
+def rounding_ties() -> tuple[np.ndarray, np.ndarray]:
+    """Points whose fractional axial q is exactly ``+-(2**j + 0.5)`` with
+    r = 0, on every resolution's grid: there rounding half to even picks
+    the cell (half up would pick its neighbour). Each is searched among the
+    doubles next to the inverse projection of its q."""
+    lons = []
+    for res in sorted(EDGE_M):
+        g = _kiel_grid(res)
+        found, m_per_deg = 0, g.project(g.lon0 + 1.0, g.lat0)[0]
+        for h in [sign * (2.0**j + 0.5) for j in range(1, 19) for sign in (1, -1)]:
+            guess = np.float64(g.lon0 + h * g.edge_m * np.sqrt(3.0) / m_per_deg)
+            cand = (guess.view(np.int64) + np.arange(-8, 9)).view(np.float64)
+            qf, _ = axial_frac(*g.project(cand, g.lat0), g.edge_m)
+            hit = cand[(qf == h) & (np.abs(cand) <= 180.0)][:1]
+            if hit.size:
+                assert unpack(g.to_cell(hit, g.lat0))[1] == np.trunc(h)
+                lons.append(hit[0])
+                found += 1
+        assert found >= 5, f"too few rounding ties at r={res}"
+    return np.array(lons), np.full(len(lons), REGION_OF["KIEL"].lat0)
+
+
+@given(pts=st.lists(
+    st.tuples(st.floats(-180.0, 180.0), st.floats(-90.0, 90.0)), min_size=1, max_size=500,
+))
+@settings(max_examples=5, deadline=None)
+def test_spark_cell_assignment_matches_driver(spark, kiel_trips, rounding_ties, pts):
+    """The native cell expression gives HexGrid.to_cell's ids bit for bit
+    at every resolution, on KIEL positions, on rounding ties and on random
+    points, both when the driver folds it into a local relation and in
+    generated code on the executors; grid_distance_col agrees with
+    grid_distance on the pairs (point i, point i + 1)."""
     sample = kiel_trips.head(500)
+    lon = np.concatenate([sample["lon"], rounding_ties[0], [p[0] for p in pts]])
+    lat = np.concatenate([sample["lat"], rounding_ties[1], [p[1] for p in pts]])
+    df = spark.createDataFrame(pd.DataFrame({"i": np.arange(lon.size), "lon": lon, "lat": lat}))
+    cells = [
+        to_cell_col(_kiel_grid(res), F.col("lon"), F.col("lat")).alias(str(res))
+        for res in EDGE_M
+    ]
+    expect = {str(res): _kiel_grid(res).to_cell(lon, lat) for res in EDGE_M}
+    for frame in (df, df.repartition(4)):
+        got = frame.select("i", *cells).toPandas().sort_values("i")
+        for res, ids in expect.items():
+            assert (got[res].to_numpy() == ids).all(), res
+    a = np.concatenate(list(expect.values()))
+    b = np.concatenate([np.roll(ids, -1) for ids in expect.values()])
+    pairs = spark.createDataFrame(pd.DataFrame({"i": np.arange(a.size), "a": a, "b": b}))
     got = (
-        with_cells(to_spark(spark, sample), grid)
-        .orderBy("trip_id", "ts")
-        .select("cl")
-        .toPandas()["cl"]
-        .to_numpy()
+        pairs.repartition(4)
+        .select("i", grid_distance_col(F.col("a"), F.col("b")).alias("d"))
+        .toPandas()
+        .sort_values("i")
     )
-    expect = grid.to_cell(
-        sample.sort_values(["trip_id", "ts"])["lon"].to_numpy(),
-        sample.sort_values(["trip_id", "ts"])["lat"].to_numpy(),
-    )
-    assert (got == expect).all()
+    assert (got["d"].to_numpy() == grid_distance(a, b)).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_aggregate_rejects_non_finite_position(spark, kiel_trips, bad):
+    """A position without a cell fails the fit instead of joining some cell."""
+    pdf = kiel_trips.head(200).copy()
+    pdf.loc[pdf.index[50], "lon"] = bad
+    nodes_df, _ = aggregate(to_spark(spark, pdf), _kiel_grid(9))
+    with pytest.raises(SparkRuntimeException, match="has no cell"):
+        nodes_df.collect()
+
+
+def _exchanges(df) -> int:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        df.explain("formatted")
+    return len(set(re.findall(r"(?<![A-Za-z])Exchange \((\d+)\)", buf.getvalue())))
+
+
+def test_aggregate_plan_shuffles(spark, kiel_trips):
+    """Each fit frame shuffles twice: by trip_id, which the lag window and
+    the small-trip filter share, and by its own grouping key. A change that
+    adds a shuffle to the fit fails here."""
+    nodes_df, edges_df = aggregate(to_spark(spark, kiel_trips), _kiel_grid(9))
+    assert _exchanges(nodes_df) + _exchanges(edges_df) == 4
 
 
 def test_lag_cl_is_previous_cell_in_trip(kiel_cells):
-    _, _, pdf = kiel_cells
+    """with_cells assigns HexGrid.to_cell's cell and the trip's previous cell."""
+    grid, _, pdf = kiel_cells
+    expect = grid.to_cell(pdf["lon"].to_numpy(), pdf["lat"].to_numpy())
+    assert (pdf["cl"].to_numpy() == expect).all()
     for _, g in pdf.sort_values("ts").groupby("trip_id"):
         cl = g["cl"].to_numpy()
         lag = g["lag_cl"].to_numpy()

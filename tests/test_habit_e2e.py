@@ -49,6 +49,15 @@ def test_imputed_path_tracks_truth(habit9, kiel_gaps):
     assert float(per_gap["dtw_m"].median()) < 2000.0
 
 
+def test_impute_rejects_non_finite_endpoint(habit9, kiel_gaps):
+    """A NaN endpoint is refused, not snapped to the origin cell or node 0."""
+    g = kiel_gaps[0]
+    with pytest.raises(ValueError, match="non-finite"):
+        habit9.impute(np.nan, g.start_lat, g.end_lon, g.end_lat)
+    with pytest.raises(ValueError, match="non-finite"):
+        habit9.impute(g.start_lon, g.start_lat, g.end_lon, np.nan)
+
+
 def test_impute_deterministic(habit9, kiel_gaps):
     g = kiel_gaps[0]
     a = habit9.impute(g.start_lon, g.start_lat, g.end_lon, g.end_lat)

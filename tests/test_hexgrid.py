@@ -100,6 +100,15 @@ def test_projection_scale_is_metric():
     assert abs((float(y2) - float(y1)) - 1111.95) < 1.0
 
 
+@pytest.mark.parametrize(
+    "lon,lat", [(np.nan, 56.0), (np.inf, 56.0), (11.5, -np.inf), ([11.5, np.nan], [56.0, 56.0])]
+)
+def test_to_cell_rejects_non_finite(lon, lat):
+    """A non-finite coordinate has no cell; it must not alias the origin."""
+    with pytest.raises(ValueError, match="non-finite"):
+        GRID.to_cell(lon, lat)
+
+
 def test_vectorized_matches_scalar():
     lon = np.array([10.0, 11.0, 12.0])
     lat = np.array([55.0, 56.0, 57.0])
