@@ -41,6 +41,7 @@ from repro.core.preprocess import haversine_m_col
 from repro.core.storage import parquet_bytes
 from repro.geo.geodesy import local_xy
 from repro.graph import csr, nearest
+from repro.spark import collect
 
 
 class GTI:
@@ -127,10 +128,10 @@ class GTI:
         )
 
         edges = seq.unionByName(cand).distinct()
+        nodes_pdf, self.edges_pdf = collect(nodes, edges)
         self.nodes_pdf = (
-            nodes.toPandas().drop_duplicates("node_id").sort_values("node_id").reset_index(drop=True)
+            nodes_pdf.drop_duplicates("node_id").sort_values("node_id").reset_index(drop=True)
         )
-        self.edges_pdf = edges.toPandas()
         self._build_csr()
         return self
 

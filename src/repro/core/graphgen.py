@@ -22,7 +22,10 @@ Cells are native Column expressions (:mod:`repro.hexgrid.columns`), so no
 row leaves the JVM. Each of the two result frames shuffles twice: once by
 ``trip_id``, which the ``lag`` window and the small-trip filter (a
 ``collect_set`` over the same trip window) share, and once by its grouping
-key, ``cl`` or ``(lag_cl, cl)``. The tests guard this count.
+key, ``cl`` or ``(lag_cl, cl)``. The tests guard this count. ``Habit.fit``
+collects the two frames as concurrent jobs (:func:`repro.spark.collect`):
+their shared upstream, the trip shuffle, cell expression and windows, runs
+once for each, the two side by side.
 
 The paper loads the two tables into a NetworkX graph; here ``build_graph``
 turns the collected tables into a :class:`CellGraph` of sorted numpy arrays

@@ -21,6 +21,7 @@ from repro.core.simplify import simplify_path
 from repro.core.storage import storage_bytes
 from repro.geo.geodesy import haversine_m
 from repro.hexgrid.hex import HexGrid
+from repro.spark import collect
 
 
 class Habit:
@@ -37,9 +38,7 @@ class Habit:
     def fit(self, trips_df: DataFrame, *, lat0: float, lon0: float) -> "Habit":
         """Aggregate preprocessed trips (Spark) and build the cell graph."""
         grid = HexGrid(self.res, lat0, lon0)
-        nodes_df, edges_df = aggregate(trips_df, grid, exact=self.exact)
-        nodes_pdf = nodes_df.toPandas()
-        edges_pdf = edges_df.toPandas()
+        nodes_pdf, edges_pdf = collect(*aggregate(trips_df, grid, exact=self.exact))
         self.model = HabitModel(grid=grid, graph=build_graph(nodes_pdf, edges_pdf))
         return self
 

@@ -12,6 +12,14 @@ trip is "the subsequence of AIS locations between two successive stops or
 gaps"). Everything is expressed on the DataFrame/Catalyst API: the sequence
 logic is window functions over ``(vessel_id, ts)``, so it scales out by
 vessel partition.
+
+Every step is keyed within one vessel, so :func:`preprocess` shuffles once,
+by ``vessel_id``: hash partitioning on ``vessel_id`` already clusters the
+duplicate key ``(vessel_id, ts)``, the spike window and the trip windows.
+The trip-size count keys on ``(vessel_id, _trip_seq)``, the two columns
+``trip_id`` is formatted from: the groups are the same, and unlike the
+derived string the pair keeps the vessel partitioning, so the count needs no
+shuffle of its own. The tests guard the single Exchange.
 """
 from __future__ import annotations
 
@@ -55,7 +63,7 @@ def clean(
         & F.col("sog").between(0.0, max_sog_kn)
         & F.col("ts").isNotNull()
     )
-    df = df.dropDuplicates(["vessel_id", "ts"])
+    df = df.repartition("vessel_id").dropDuplicates(["vessel_id", "ts"])
 
     w = Window.partitionBy("vessel_id").orderBy("ts")
     secs = F.unix_timestamp("ts").cast("double")
@@ -113,7 +121,7 @@ def segment_trips(
     moving = moving.withColumn(
         "trip_id", F.concat_ws("#", F.col("vessel_id"), F.col("_trip_seq"))
     )
-    counts = Window.partitionBy("trip_id")
+    counts = Window.partitionBy("vessel_id", "_trip_seq")
     moving = moving.withColumn("_n", F.count(F.lit(1)).over(counts))
     return moving.filter(F.col("_n") >= min_points).drop(
         "_stopped", "_stop_cum", "_new_trip", "_trip_seq", "_n"
@@ -125,11 +133,3 @@ def preprocess(df: DataFrame, **kwargs) -> DataFrame:
     clean_kw = {k: kwargs[k] for k in ("max_sog_kn", "spike_kn") if k in kwargs}
     seg_kw = {k: kwargs[k] for k in ("stop_kn", "gap_min", "min_points") if k in kwargs}
     return segment_trips(clean(df, **clean_kw), **seg_kw)
-
-
-def dataset_stats(raw_df: DataFrame, trips_df: DataFrame) -> dict:
-    """Table 1 characteristics: positions, ships (raw), trips (segmented)."""
-    positions = raw_df.count()
-    ships = raw_df.select("vessel_id").distinct().count()
-    trips = trips_df.select("trip_id").distinct().count()
-    return {"positions": positions, "ships": ships, "trips": trips}

@@ -4,12 +4,17 @@
 it goes into ``PYSPARK_SUBMIT_ARGS`` before the first session starts. ``src``
 goes on ``PYTHONPATH`` for the same reason: Spark's Python workers are forked
 by the JVM and see its environment, not the driver's ``sys.path``.
+
+:func:`collect` brings several frames to the driver as concurrent jobs.
 """
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
-from pyspark.sql import SparkSession
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.util import inheritable_thread_target
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,3 +61,19 @@ def session(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
+
+
+def collect(*frames: DataFrame) -> list[pd.DataFrame]:
+    """``toPandas()`` of each frame, run as concurrent Spark jobs; results in
+    argument order.
+
+    Small post-shuffle stages run as one to three tasks after adaptive
+    coalescing, so jobs submitted one after another leave most cores idle;
+    submitted together, the scheduler runs their tasks side by side. Each
+    job's thread takes the caller's job group, description and other local
+    properties; each job is wrapped on its own, so no two threads share one
+    copy of them.
+    """
+    jobs = [inheritable_thread_target(df.sparkSession)(df.toPandas) for df in frames]
+    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+        return list(pool.map(lambda job: job(), jobs))

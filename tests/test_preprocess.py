@@ -10,8 +10,9 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.ais.datasets import to_spark
-from repro.core.preprocess import clean, dataset_stats, preprocess, segment_trips
+from repro.core.preprocess import clean, preprocess, segment_trips
 from repro.geo.geodesy import KNOT_MS, haversine_m
+from tests.test_graphgen import _exchanges
 
 
 def _mk(spark, rows):
@@ -223,11 +224,7 @@ def test_trips_never_contain_long_silence(lab):
             assert dt.max() <= 30 * 60
 
 
-def test_dataset_stats(spark, lab):
-    raw = lab.raw("KIEL")
-    raw_df = to_spark(spark, raw)
-    trips_df = to_spark(spark, lab.trips_pdf("KIEL"))
-    stats = dataset_stats(raw_df, trips_df)
-    assert stats["positions"] == len(raw)
-    assert stats["ships"] == 2
-    assert stats["trips"] >= 4
+def test_preprocess_plan_shuffles(spark, lab):
+    """Every step of phase 1 is keyed within one vessel, so the whole phase
+    shuffles once, by vessel_id. A change that adds a shuffle fails here."""
+    assert _exchanges(preprocess(to_spark(spark, lab.raw("KIEL")))) == 1
