@@ -2,7 +2,7 @@
 
 ``REPRO_BENCH_SF`` (default 0.25) keeps the benchmark suite's model builds
 bounded; the full-scale (sf=1.0) numbers recorded in EXPERIMENTS.md come
-from the ``jobs/`` entrypoints. Model builds happen once per session via the
+from ``jobs/run_all.py``. Model builds happen once per session via the
 Lab cache, so the benchmark timers measure the table/query work itself.
 """
 import os

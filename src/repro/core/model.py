@@ -59,7 +59,7 @@ class HabitModel:
     def snap(self, lon: float, lat: float) -> int:
         """Graph node for a point: its own cell, else the nearest node."""
         cell = int(self.grid.to_cell(lon, lat))
-        if cell in self.graph.nodes:
+        if self.graph.locate(cell) >= 0:
             return cell
         if self.n_nodes == 0:
             raise ValueError("empty model: no graph nodes")

@@ -1,14 +1,15 @@
 """Experiment orchestration: one function per table/figure of the paper.
 
 ``Lab`` caches everything expensive — synthetic datasets, preprocessed trip
-tables, train/test splits, injected gaps, fitted models — so the table
-functions and benchmarks can share work. All functions return pandas frames
-whose rows mirror the paper's tables; EXPERIMENTS.md records paper vs
-measured values side by side.
+tables, train/test splits, injected gaps, fitted models, per-gap scores — so
+the table functions and benchmarks can share work: each method configuration
+is scored once per gap set, and Table 4 and Figures 3/5/7 read their rows
+from that one score. All functions return pandas frames whose rows mirror
+the paper's tables; EXPERIMENTS.md records paper vs measured values side by
+side.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -17,6 +18,7 @@ from repro.ais.gaps import Gap, make_gaps, split_trips
 from repro.baselines.gti import GTI
 from repro.baselines.sli import sli_impute
 from repro.core.habit import Habit
+from repro.core.model import HabitModel
 from repro.core.preprocess import preprocess
 from repro.core.simplify import paths_turn_table, simplify_path
 from repro.core.storage import parquet_bytes
@@ -39,8 +41,9 @@ class Lab:
         self._raw: dict[str, pd.DataFrame] = {}
         self._trips: dict[str, pd.DataFrame] = {}
         self._gaps: dict[tuple, list[Gap]] = {}
-        self._habit: dict[tuple, object] = {}  # (name, res) -> fitted HabitModel
+        self._habit: dict[tuple, HabitModel] = {}  # (name, res) -> fitted model
         self._gti: dict[tuple, GTI] = {}
+        self._scores: dict[tuple, pd.DataFrame] = {}
 
     # -- data ---------------------------------------------------------------
     def raw(self, name: str) -> pd.DataFrame:
@@ -102,6 +105,31 @@ class Lab:
             g.fit(to_spark(self.spark, train), lat0=region.lat0, lon0=region.lon0)
             self._gti[key] = g
         return self._gti[key]
+
+    # -- scores -------------------------------------------------------------
+    def scores(
+        self, name: str, method: str, params: tuple, *, duration_min: float = 60.0
+    ) -> pd.DataFrame:
+        """Per-gap :func:`evaluate_gaps` frame of one method configuration
+        over the dataset's gaps of ``duration_min``, scored on first use.
+
+        ``params`` is ``(res, p, t)`` for HABIT, ``(rm_m, rd_deg)`` for GTI and
+        ``()`` for SLI. The latency columns are those of the first scoring.
+        """
+        key = (name, duration_min, method, params)
+        if key not in self._scores:
+            if method == "HABIT":
+                res, p, t = params
+                impute = self.habit(name, res, p=p, t=t).impute
+            elif method == "GTI":
+                rm_m, rd_deg = params
+                impute = self.gti(name, rm_m=rm_m, rd_deg=rd_deg).impute
+            elif method == "SLI" and params == ():
+                impute = sli_impute
+            else:
+                raise ValueError(f"unknown method configuration {method} {params}")
+            self._scores[key] = evaluate_gaps(impute, self.gaps(name, duration_min))
+        return self._scores[key]
 
 
 # --- Table 1: dataset characteristics --------------------------------------
@@ -195,36 +223,28 @@ def table3(
 
 # --- Table 4: query latency -------------------------------------------------
 
+def _method_configs(name: str):
+    """(Method, Configuration, params) of the HABIT and GTI configurations
+    that Table 4 and Figure 5 compare, in the paper's row order."""
+    for res, t in HABIT_LATENCY_CONFIGS:
+        yield "HABIT", f"r = {res}, t = {int(t)}", (res, "w", t)
+    for rd in GTI_RD_SWEEP:
+        rm = _gti_rm(name, rd)
+        yield "GTI", f"rm = {int(rm)}, rd = {rd:g}", (rm, rd)
+
+
 def table4(lab: Lab, names: tuple[str, ...] = ("KIEL", "SAR")) -> pd.DataFrame:
     """Average and maximum imputation latency (s) per method configuration."""
     rows = []
     for name in names:
-        gaps = lab.gaps(name)
-        for res, t in HABIT_LATENCY_CONFIGS:
-            habit = lab.habit(name, res, t=t)
-            per_gap = evaluate_gaps(habit.impute, gaps)
-            s = summarize(per_gap)
+        for method, cfg, params in _method_configs(name):
+            s = summarize(lab.scores(name, method, params))
             rows.append(
                 {
                     "Dataset": name,
                     "n_gaps": s["n_gaps"],
-                    "Method": "HABIT",
-                    "Configuration": f"r = {res}, t = {int(t)}",
-                    "Avg": s["lat_avg_s"],
-                    "Max": s["lat_max_s"],
-                }
-            )
-        for rd in GTI_RD_SWEEP:
-            rm = _gti_rm(name, rd)
-            gti = lab.gti(name, rm_m=rm, rd_deg=rd)
-            per_gap = evaluate_gaps(gti.impute, gaps)
-            s = summarize(per_gap)
-            rows.append(
-                {
-                    "Dataset": name,
-                    "n_gaps": s["n_gaps"],
-                    "Method": "GTI",
-                    "Configuration": f"rm = {int(rm)}, rd = {rd:g}",
+                    "Method": method,
+                    "Configuration": cfg,
                     "Avg": s["lat_avg_s"],
                     "Max": s["lat_max_s"],
                 }
@@ -238,10 +258,8 @@ def fig5_accuracy(lab: Lab, names: tuple[str, ...] = ("KIEL", "SAR")) -> pd.Data
     """Mean & median DTW for SLI, HABIT configs, GTI configs (60-min gaps)."""
     rows = []
     for name in names:
-        gaps = lab.gaps(name)
-
-        def emit(method: str, cfg: str, per_gap: pd.DataFrame) -> None:
-            s = summarize(per_gap)
+        for method, cfg, params in [("SLI", "-", ()), *_method_configs(name)]:
+            s = summarize(lab.scores(name, method, params))
             rows.append(
                 {
                     "Dataset": name,
@@ -252,19 +270,6 @@ def fig5_accuracy(lab: Lab, names: tuple[str, ...] = ("KIEL", "SAR")) -> pd.Data
                     "fallback_frac": s["fallback_frac"],
                 }
             )
-
-        emit(
-            "SLI",
-            "-",
-            evaluate_gaps(lambda a, b, c, d: sli_impute(a, b, c, d), gaps),
-        )
-        for res, t in HABIT_LATENCY_CONFIGS:
-            habit = lab.habit(name, res, t=t)
-            emit("HABIT", f"r = {res}, t = {int(t)}", evaluate_gaps(habit.impute, gaps))
-        for rd in GTI_RD_SWEEP:
-            rm = _gti_rm(name, rd)
-            gti = lab.gti(name, rm_m=rm, rd_deg=rd)
-            emit("GTI", f"rm = {int(rm)}, rd = {rd:g}", evaluate_gaps(gti.impute, gaps))
     return pd.DataFrame(rows)
 
 
@@ -277,12 +282,10 @@ def fig3_projection(
     res_sweep: tuple[int, ...] = HABIT_RES_SWEEP,
 ) -> pd.DataFrame:
     """HABIT DTW at each resolution for p = cell center vs data median."""
-    gaps = lab.gaps(name)
     rows = []
     for res in res_sweep:
         for p in ("c", "w"):
-            habit = lab.habit(name, res, p=p, t=100.0)
-            s = summarize(evaluate_gaps(habit.impute, gaps))
+            s = summarize(lab.scores(name, "HABIT", (res, p, 100.0)))
             rows.append(
                 {
                     "r": res,
@@ -305,12 +308,10 @@ def fig7_gap_durations(
     rows = []
     for name in names:
         for dur in durations:
-            gaps = lab.gaps(name, duration_min=dur)
-            if not gaps:
+            if not lab.gaps(name, duration_min=dur):
                 continue
             for res, t in HABIT_LATENCY_CONFIGS:
-                habit = lab.habit(name, res, t=t)
-                s = summarize(evaluate_gaps(habit.impute, gaps))
+                s = summarize(lab.scores(name, "HABIT", (res, "w", t), duration_min=dur))
                 rows.append(
                     {
                         "Dataset": name,
@@ -325,9 +326,11 @@ def fig7_gap_durations(
 
 
 def format_table(pdf: pd.DataFrame, floatfmt: str = "{:.3f}") -> str:
-    """Plain-text rendering for job stdout / EXPERIMENTS.md."""
+    """Plain-text rendering for job stdout / EXPERIMENTS.md. Float columns
+    use ``floatfmt``, except fractions (``*_frac``), which keep 3 decimals."""
     pdf = pdf.copy()
     for c in pdf.columns:
         if pdf[c].dtype.kind == "f":
-            pdf[c] = pdf[c].map(floatfmt.format)
+            fmt = "{:.3f}" if c.endswith("_frac") else floatfmt
+            pdf[c] = pdf[c].map(fmt.format)
     return pdf.to_string(index=False)

@@ -1,9 +1,15 @@
 """Integration tests: the table harnesses produce the paper's rows and the
 qualitative shapes the paper reports (at test scale)."""
+import copy
+
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.eval import tables
+from repro.eval.metrics import evaluate_gaps, summarize
 from repro.eval.tables import (
+    fig3_projection,
     fig5_accuracy,
     fig7_gap_durations,
     format_table,
@@ -103,3 +109,48 @@ def test_fig7_durations(lab):
 def test_format_table_renders(t1):
     s = format_table(t1)
     assert "Dataset" in s and "KIEL" in s
+    # fractions keep 3 decimals whatever the section's float format
+    s = format_table(pd.DataFrame({"dtw_m": [1.25], "fallback_frac": [0.0763]}), "{:.1f}")
+    assert s.splitlines()[1].split() == ["1.2", "0.076"]
+
+
+@pytest.fixture
+def fresh_lab(lab):
+    """The session lab's data and fitted models, with an empty score cache."""
+    fresh = copy.copy(lab)
+    fresh._scores = {}
+    return fresh
+
+
+def test_each_configuration_scored_once(fresh_lab, monkeypatch):
+    calls = []
+
+    def counting(impute, gaps):
+        calls.append(impute)
+        return evaluate_gaps(impute, gaps)
+
+    monkeypatch.setattr(tables, "evaluate_gaps", counting)
+    names = ("KIEL",)
+    table4(fresh_lab, names=names)
+    fig5_accuracy(fresh_lab, names=names)
+    fig7_gap_durations(fresh_lab, names=names, durations=(60.0,))
+    n_configs = len(tables.HABIT_LATENCY_CONFIGS) + len(tables.GTI_RD_SWEEP)
+    assert len(calls) == n_configs + 1  # + SLI
+
+
+def test_score_key_separates_p_and_t(fresh_lab):
+    """Configurations that differ only in p (Fig 3) or t (Fig 5) get their
+    own scores, each equal to a fresh evaluation of that configuration."""
+    f3 = fig3_projection(fresh_lab, name="KIEL", res_sweep=(9,)).set_index("p")
+    assert f3.loc["c", "dtw_mean_m"] != f3.loc["w", "dtw_mean_m"]
+    for p in ("c", "w"):
+        cached = summarize(fresh_lab.scores("KIEL", "HABIT", (9, p, 100.0)))
+        assert f3.loc[p, "dtw_mean_m"] == cached["dtw_mean_m"]
+
+    f5 = fig5_accuracy(fresh_lab, names=("KIEL",)).set_index("Configuration")
+    gaps = fresh_lab.gaps("KIEL")
+    for t in (100.0, 250.0):
+        s = summarize(evaluate_gaps(fresh_lab.habit("KIEL", 9, t=t).impute, gaps))
+        row = f5.loc[f"r = 9, t = {int(t)}"]
+        for col in ("dtw_mean_m", "dtw_median_m", "fallback_frac"):
+            assert row[col] == s[col]
